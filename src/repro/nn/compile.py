@@ -16,9 +16,10 @@ simulator (static per-layer programs) is applied here to the nn runtime:
   ``as_strided`` window views over them are built once at bind time.
 * **Kernel specialization** — pointwise (1x1/s1/p0) convolutions skip
   the im2col gather entirely (the GEMM reads a reshaped view of the
-  input), depthwise convolutions run ``einsum`` straight into their
-  output view, and ``MaxPool2D`` lowers to a tap-loop of ``np.maximum``
-  over the window view (bit-identical: max is an exact reduction).
+  input), depthwise convolutions gather into static scratch and run
+  the batched GEMM (``dw-gemm``), and ``MaxPool2D`` lowers to a
+  tap-loop of ``np.maximum`` over the window view (bit-identical: max
+  is an exact reduction).
 * **Join write-through** — a convolution or pooling step whose only
   consumer is a ``concat`` writes directly into its channel slice of
   the concat buffer; the copy in ``concat_channels`` disappears.  The
@@ -483,19 +484,7 @@ class CompiledProgram:
                 pad_value: float):
         """(window source, per-run border fill + interior copy)."""
         padded = views[step.padded_buf]
-        ph = (step.padded_shape[2] - in_view.shape[2]) // 2
-        pw = (step.padded_shape[3] - in_view.shape[3]) // 2
-        interior = padded[:, :, ph:padded.shape[2] - ph,
-                          pw:padded.shape[3] - pw]
-        borders = []
-        if ph:
-            borders.append(padded[:, :, :ph, :])
-            borders.append(padded[:, :, padded.shape[2] - ph:, :])
-        if pw:
-            borders.append(padded[:, :, ph:padded.shape[2] - ph, :pw])
-            borders.append(
-                padded[:, :, ph:padded.shape[2] - ph,
-                       padded.shape[3] - pw:])
+        interior, borders = _pad_regions(padded, in_view.shape)
 
         def refill() -> None:
             for b in borders:
@@ -503,18 +492,6 @@ class CompiledProgram:
             np.copyto(interior, in_view)
 
         return padded, refill
-
-    @staticmethod
-    def _windows(src: np.ndarray, kernel, stride, out_plane) -> np.ndarray:
-        kh, kw = kernel
-        sh, sw = stride
-        oh, ow = out_plane
-        n, c = src.shape[:2]
-        shape = (n, c, kh, kw, oh, ow)
-        strides = (src.strides[0], src.strides[1], src.strides[2],
-                   src.strides[3], src.strides[2] * sh, src.strides[3] * sw)
-        return np.lib.stride_tricks.as_strided(src, shape=shape,
-                                               strides=strides)
 
     def _bind_conv(self, step: _StepIR, views, static_view, getter):
         op: FusedConv2D = step.op
@@ -553,7 +530,7 @@ class CompiledProgram:
             return run_pw
         # general im2col GEMM through the static scratch buffer
         scratch = views[step.scratch_buf]
-        win = self._windows(src, op.kernel_size, op.stride, (oh, ow))
+        win = _windows(src, op.kernel_size, op.stride, (oh, ow))
         kh, kw = op.kernel_size
         cols = scratch.reshape(n, g, op._cin_g * kh * kw, oh * ow)
 
@@ -581,20 +558,13 @@ class CompiledProgram:
             prologue = _chain(prologue, refill)
         else:
             src = in_view
-        win = self._windows(src, pool.kernel_size, pool.stride, (oh, ow))
-        kh, kw = pool.kernel_size
-        taps = [win[:, :, i, j] for i in range(kh) for j in range(kw)]
-        first, rest = taps[0], taps[1:]
+        taps = _taps(src, pool.kernel_size, pool.stride, (oh, ow))
         relu = step.strategy.endswith("+relu")
 
         def run_pool() -> None:
             if prologue is not None:
                 prologue()
-            np.copyto(out, first)
-            for tap in rest:
-                np.maximum(out, tap, out=out)
-            if relu:
-                np.maximum(out, 0.0, out=out)
+            _max_taps(out, taps, relu)
 
         return run_pool
 
@@ -651,6 +621,65 @@ def _chain(a: Optional[Callable[[], None]],
         b()
 
     return both
+
+
+# -- kernel helpers shared by the float and integer binders ------------------
+
+
+def _pad_regions(padded: np.ndarray, in_shape: Tuple[int, ...]):
+    """(interior view, border views) of ``padded`` around ``in_shape``."""
+    h, w = padded.shape[2], padded.shape[3]
+    ph, pw = (h - in_shape[2]) // 2, (w - in_shape[3]) // 2
+    interior = padded[:, :, ph:h - ph, pw:w - pw]
+    borders = []
+    if ph:
+        borders += [padded[:, :, :ph, :], padded[:, :, h - ph:, :]]
+    if pw:
+        borders += [padded[:, :, ph:h - ph, :pw],
+                    padded[:, :, ph:h - ph, w - pw:]]
+    return interior, borders
+
+
+def _windows(src: np.ndarray, kernel, stride, out_plane) -> np.ndarray:
+    """Strided ``(N, C, kh, kw, oh, ow)`` window view over ``src``."""
+    kh, kw = kernel
+    sh, sw = stride
+    oh, ow = out_plane
+    n, c = src.shape[:2]
+    shape = (n, c, kh, kw, oh, ow)
+    strides = (src.strides[0], src.strides[1], src.strides[2],
+               src.strides[3], src.strides[2] * sh, src.strides[3] * sw)
+    return np.lib.stride_tricks.as_strided(src, shape=shape, strides=strides)
+
+
+def _taps(src: np.ndarray, kernel, stride, out_plane) -> List[np.ndarray]:
+    """One ``(N, C, oh, ow)`` view per kernel tap of the windows."""
+    win = _windows(src, kernel, stride, out_plane)
+    kh, kw = kernel
+    return [win[:, :, i, j] for i in range(kh) for j in range(kw)]
+
+
+def _max_taps(out: np.ndarray, taps: List[np.ndarray], relu: bool) -> None:
+    """Max-pool as a tap loop: max is exact, so any order is bit-identical."""
+    np.copyto(out, taps[0])
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    if relu:
+        np.maximum(out, 0, out=out)
+
+
+def _conv_strategy(op) -> str:
+    """``pointwise`` (1x1/s1/p0: the input is the column matrix) or an
+    im2col gather into static scratch feeding a batched GEMM, named
+    ``dw-gemm`` for depthwise convolutions and ``gemm`` otherwise.
+
+    Depthwise is a grouped conv with ``cin_g == 1``: with the gather
+    hitting static scratch, batched BLAS beats the interpreted einsum.
+    """
+    if (op.kernel_size == (1, 1) and op.stride == (1, 1)
+            and op.padding == (0, 0)):
+        return "pointwise"
+    return "dw-gemm" if op.depthwise else "gemm"
 
 
 # -- the compile pass --------------------------------------------------------
@@ -871,17 +900,7 @@ def _compile_program(plan: InferencePlan, batch: int,
             shape = _conv_out_shape(op, in_shape)
             kh, kw = op.kernel_size
             ph, pw = op.padding
-            if (kh, kw) == (1, 1) and op.stride == (1, 1) \
-                    and (ph, pw) == (0, 0):
-                ir.strategy = "pointwise"
-            elif op.depthwise:
-                # Depthwise lowers to the same im2col GEMM as a grouped
-                # conv (cin_g == 1): with the gather hitting a static
-                # scratch buffer, batched BLAS beats the interpreted
-                # einsum ~2x at identical accumulation order per output.
-                ir.strategy = "dw-gemm"
-            else:
-                ir.strategy = "gemm"
+            ir.strategy = _conv_strategy(op)
             if resolve_dynamic(in_value):
                 ir.stage_buf = transient(i, in_shape)
             if (ph, pw) != (0, 0):
@@ -1175,12 +1194,17 @@ def compile_plan(plan: InferencePlan,
 # The integer twin of the float compiler: a QuantizedInferencePlan
 # (repro.nn.quant) lowers to batch-specialized programs whose static
 # arena stores activations, padded inputs and im2col scratch in the
-# plan's narrow integer dtype — the pre-resolved layout lands ~4x
-# smaller at int16 (8x at int8), with only the per-conv accumulator
-# regions staying float64 (exact integer containers for the BLAS GEMM).
-# The requantizing epilogue is the *same code object* the interpreted
-# plan runs (QuantizedConv2D.requantize_into), so compiled and
-# interpreted integer outputs are bit-identical by construction.
+# plan's narrow integer dtype (0.3-0.9x the float64 compiled arena),
+# with only the per-conv accumulator regions staying float64 (exact
+# integer containers for the BLAS GEMM).  The kernels are the float
+# binder's: ``pointwise`` and ``gemm``/``dw-gemm`` convs (depthwise
+# gathers into int scratch and runs the same batched GEMM instead of
+# the interpreted einsum) and the ``taps`` max-pool loop over a border
+# filled with the dtype minimum.  Integer sums in float64 are exact and
+# max is exact, so no reordering can change a bit; the requantizing
+# epilogue is the *same code object* the interpreted plan runs
+# (QuantizedConv2D.requantize_into), so compiled and interpreted
+# integer outputs are bit-identical.
 
 
 @dataclass
@@ -1209,13 +1233,12 @@ class _QStepIR:
     scratch_buf: int = -1
     acc_buf: int = -1
     module: Optional[_ModuleStep] = None
+    strategy: str = ""
 
 
 def _compile_qprogram(qplan, batch: int,
                       input_shape: Tuple[int, int, int]) -> "_QProgram":
     from repro.nn.quant import (
-        QuantizedConv2D,
-        QuantizedDense,
         QuantizedIdentity,
         QuantizedMaxPool,
         QuantizedReLU,
@@ -1290,14 +1313,11 @@ def _compile_qprogram(qplan, batch: int,
                                    in_sh[3] + 2 * pw)
                 ir.padded_buf = alloc_buf(ir.padded_shape, qdtype, i)
                 transients.append(ir.padded_buf)
-            # Pointwise (1x1/s1/p0) convolutions read a reshaped view of
-            # the input instead of a gathered scratch copy.  Exact
-            # integer arithmetic is order-independent, so skipping the
-            # gather cannot perturb the GEMM result — output stays
-            # bit-identical to the interpreted (always-gathering) op.
-            pointwise = (not op.depthwise and op.kernel_size == (1, 1)
-                         and op.stride == (1, 1) and op.padding == (0, 0))
-            if not op.depthwise and not pointwise:
+            # Exact integer sums are order-independent, so pointwise
+            # skipping the gather and depthwise running a GEMM instead
+            # of the interpreted einsum stay bit-identical.
+            ir.strategy = _conv_strategy(op)
+            if ir.strategy != "pointwise":
                 kh, kw = op.kernel_size
                 ir.scratch_buf = alloc_buf((n, in_sh[1], kh, kw, oh, ow),
                                            qdtype, i)
@@ -1307,7 +1327,7 @@ def _compile_qprogram(qplan, batch: int,
             bi = alloc_buf(shape, qdtype, i)
             ir.value = _QValue(shape, buf=bi, scale_src=i)
         elif st.kind == "qdense":
-            ir.kind = "qdense"
+            ir.kind, ir.strategy = "qdense", "gemm"
             shape = (n, st.op.out_features)
             ir.acc_buf = alloc_buf(shape, _F64, i)
             transients.append(ir.acc_buf)
@@ -1316,6 +1336,7 @@ def _compile_qprogram(qplan, batch: int,
         elif st.kind == "qop" and isinstance(st.op, QuantizedMaxPool):
             ir.kind = "qmaxpool"
             op = st.op
+            ir.strategy = "taps" + ("+relu" if op.relu else "")
             src = irs[ir.inputs[0]].value
             in_sh = src.shape
             oh, ow = conv_output_plane(in_sh[2], in_sh[3], op.kernel_size,
@@ -1412,7 +1433,13 @@ class _QProgram:
         self._replicas = 0
 
     def describe(self) -> str:
-        return "\n".join(f"{ir.name:<24} {ir.kind}" for ir in self._irs)
+        return "\n".join(
+            f"{ir.name:<24} {ir.kind}"
+            + (f"[{ir.strategy}]" if ir.strategy else "") for ir in self._irs)
+
+    @property
+    def strategies(self) -> Dict[str, str]:
+        return {ir.name: ir.strategy for ir in self._irs}
 
     @property
     def bound_replicas(self) -> int:
@@ -1430,8 +1457,11 @@ class _QProgram:
         return prog
 
     def _bind(self) -> "_QBound":
-        from repro.nn.functional import sliding_windows
-        from repro.nn.quant import dequantize_batch, quantize_batch
+        from repro.nn.quant import (
+            _quant_step,
+            dequantize_batch,
+            quantize_batch,
+        )
 
         n = self.batch
         bits = self.bits
@@ -1468,113 +1498,81 @@ class _QProgram:
                 return lambda: (xv, sx)
             return lambda: quantize_batch(xv, bits)
 
+        def loader(ir: _QStepIR, fill: int):
+            """(window source, per-run input load) for a conv/pool step.
+
+            The load returns the producer's ``(levels, scales)``; through
+            a padded (or float-staging) buffer it first refills the
+            borders with ``fill`` and copies the levels into the interior.
+            """
+            get_in = quantized_input(ir.inputs[0])
+            if ir.padded_buf < 0:
+                return vals[ir.inputs[0]], get_in
+            pv = views[ir.padded_buf]
+            interior, borders = _pad_regions(
+                pv, self._irs[ir.inputs[0]].value.shape)
+
+            def load():
+                qx, sx = get_in()
+                for b in borders:
+                    b.fill(fill)
+                np.copyto(interior, qx)
+                return qx, sx
+
+            return pv, load
+
         ops: List[Callable[[], None]] = []
         for ir in self._irs:
             if ir.kind in ("input", "alias"):
                 continue
             qv = vals[ir.index]
             sy = scales[ir.index]
-            if ir.kind in ("qconv", "qdense"):
-                op = ir.op
+            op = ir.op
+            if ir.kind == "qdense":
                 get_in = quantized_input(ir.inputs[0])
-                accv = views[ir.acc_buf]
-                if ir.kind == "qdense":
-                    wt = op._wt
 
-                    def run_qdense(get_in=get_in, accv=accv, qv=qv, sy=sy,
-                                   op=op, wt=wt) -> None:
-                        qx, sx = get_in()
-                        np.matmul(qx.reshape(qx.shape[0], -1), wt, out=accv)
-                        sy[:] = op.requantize_into(accv, sx, qv)
-
-                    ops.append(run_qdense)
-                    continue
-                in_sh = self._irs[ir.inputs[0]].value.shape
-                pv = views[ir.padded_buf] if ir.padded_buf >= 0 else None
-                interior = None
-                if pv is not None:
-                    ph, pw = op.padding
-                    interior = pv[:, :, ph:ph + in_sh[2], pw:pw + in_sh[3]]
-                src = pv if pv is not None else vals[ir.inputs[0]]
-                windows = sliding_windows(src, op.kernel_size, op.stride,
-                                          (0, 0))
-                g = op.groups
-                oh, ow = ir.value.shape[2:]
-                if op.depthwise:
-                    acc5 = accv.reshape(n, g, op._cout_g, oh, ow)
-
-                    def run_qdw(get_in=get_in, pv=pv, op=op,
-                                windows=windows, acc5=acc5, accv=accv,
-                                qv=qv, sy=sy, interior=interior) -> None:
-                        qx, sx = get_in()
-                        if pv is not None:
-                            pv.fill(0)
-                            np.copyto(interior, qx)
-                        np.einsum("ncijpq,cmij->ncmpq", windows, op._wdw,
-                                  out=acc5)
-                        sy[:] = op.requantize_into(accv, sx, qv)
-
-                    ops.append(run_qdw)
-                    continue
-                k = op._cin_g * op.kernel_size[0] * op.kernel_size[1]
-                accg = accv.reshape(n, g, op._cout_g, oh * ow)
-                if ir.scratch_buf < 0:
-                    # Pointwise: the (padded-or-direct) input *is* the
-                    # column matrix, just viewed as (n, g, cin_g, P).
-                    cols = src.reshape(n, g, op._cin_g, oh * ow)
-
-                    def run_qpw(get_in=get_in, pv=pv, op=op, cols=cols,
-                                accg=accg, accv=accv, qv=qv, sy=sy,
-                                interior=interior) -> None:
-                        qx, sx = get_in()
-                        if pv is not None:
-                            np.copyto(interior, qx)
-                        np.matmul(op._wmat[None], cols, out=accg)
-                        sy[:] = op.requantize_into(accv, sx, qv)
-
-                    ops.append(run_qpw)
-                    continue
-                sv = views[ir.scratch_buf]
-                cols = sv.reshape(n, g, k, oh * ow)
-
-                def run_qconv(get_in=get_in, pv=pv, op=op, sv=sv,
-                              windows=windows, cols=cols, accg=accg,
-                              accv=accv, qv=qv, sy=sy,
-                              interior=interior) -> None:
+                def run_qdense(get_in=get_in, accv=views[ir.acc_buf], qv=qv,
+                               sy=sy, op=op) -> None:
                     qx, sx = get_in()
-                    if pv is not None:
-                        pv.fill(0)
-                        np.copyto(interior, qx)
-                    np.copyto(sv, windows)
+                    np.matmul(qx.reshape(qx.shape[0], -1), op._wt, out=accv)
+                    sy[:] = op.requantize_into(accv, sx, qv)
+
+                ops.append(run_qdense)
+            elif ir.kind == "qconv":
+                src, load = loader(ir, 0)
+                oh, ow = ir.value.shape[2:]
+                accv = views[ir.acc_buf]
+                accg = accv.reshape(n, op.groups, op._cout_g, oh * ow)
+                sv = win = None
+                if ir.strategy == "pointwise":
+                    # The (staged or direct) input *is* the column matrix.
+                    cols = src.reshape(n, op.groups, op._cin_g, oh * ow)
+                else:  # gemm / dw-gemm: gather windows into int scratch
+                    sv = views[ir.scratch_buf]
+                    win = _windows(src, op.kernel_size, op.stride, (oh, ow))
+                    cols = sv.reshape(n, op.groups, -1, oh * ow)
+
+                def run_qconv(load=load, sv=sv, win=win, cols=cols,
+                              accg=accg, accv=accv, qv=qv, sy=sy,
+                              op=op) -> None:
+                    _, sx = load()
+                    if sv is not None:
+                        np.copyto(sv, win)
                     np.matmul(op._wmat[None], cols, out=accg)
                     sy[:] = op.requantize_into(accv, sx, qv)
 
                 ops.append(run_qconv)
             elif ir.kind == "qmaxpool":
-                op = ir.op
-                in_sh = self._irs[ir.inputs[0]].value.shape
-                get_in = quantized_input(ir.inputs[0])
-                own_scale = ir.value.scale_src == ir.index
-                pv = views[ir.padded_buf] if ir.padded_buf >= 0 else None
-                interior = None
-                if pv is not None:
-                    ph, pw = op.padding
-                    interior = pv[:, :, ph:ph + in_sh[2], pw:pw + in_sh[3]]
-                src = pv if pv is not None else vals[ir.inputs[0]]
-                windows = sliding_windows(src, op.kernel_size, op.stride,
-                                          (0, 0))
-                minval = int(np.iinfo(qv.dtype).min)
+                # Border fill at the dtype minimum: the pad never wins.
+                src, load = loader(ir, int(np.iinfo(qv.dtype).min))
+                taps = _taps(src, op.kernel_size, op.stride,
+                             ir.value.shape[2:])
 
-                def run_qpool(get_in=get_in, pv=pv, windows=windows, qv=qv,
-                              sy=sy, own_scale=own_scale, relu=op.relu,
-                              minval=minval, interior=interior) -> None:
-                    qx, sx = get_in()
-                    if pv is not None:
-                        pv.fill(minval)
-                        np.copyto(interior, qx)
-                    np.max(windows, axis=(2, 3), out=qv)
-                    if relu:
-                        np.maximum(qv, 0, out=qv)
+                def run_qpool(load=load, taps=taps, qv=qv, sy=sy,
+                              own_scale=ir.value.scale_src == ir.index,
+                              relu=op.relu) -> None:
+                    _, sx = load()
+                    _max_taps(qv, taps, relu)
                     if own_scale:
                         sy[:] = sx
 
@@ -1626,9 +1624,8 @@ class _QProgram:
                         part = qk.astype(np.float64)
                         part *= sk.reshape((n,) + extra)
                         accv += part
-                    flat = accv.reshape(n, -1)
-                    max_abs = np.abs(flat).max(axis=1)
-                    sy[:] = np.where(max_abs == 0.0, 1.0, max_abs / qmax)
+                    sy[:] = _quant_step(
+                        np.abs(accv.reshape(n, -1)).max(axis=1), qmax)
                     accv /= sy.reshape((n,) + extra)
                     np.round(accv, out=accv)
                     np.clip(accv, -qmax, qmax, out=accv)

@@ -70,6 +70,19 @@ _F64 = np.dtype(np.float64)
 _ACC_EXACT_BITS = 51
 
 
+def _quant_step(peak, qmax: int) -> np.ndarray:
+    """Quantization step(s) for peak magnitude(s) ``peak``.
+
+    ``peak / qmax``, except where that quotient is 0.0 — an all-zero
+    tensor, or a subnormal peak whose quotient underflows (``5e-324 /
+    32767``) — which get step 1.0.  Every step is therefore finite and
+    non-zero, and at step 1.0 every value (below ``qmax * 2**-1074``)
+    rounds to level 0.  All quantizers here share this convention.
+    """
+    step = np.asarray(peak, dtype=np.float64) / qmax
+    return np.where(step == 0.0, 1.0, step)
+
+
 def symmetric_quantize(x: np.ndarray, bits: int) -> Tuple[np.ndarray, float]:
     """The one symmetric-quantization primitive; returns ``(q, scale)``.
 
@@ -84,9 +97,9 @@ def symmetric_quantize(x: np.ndarray, bits: int) -> Tuple[np.ndarray, float]:
     the scale (``max|x|`` is NaN) and an inf would quantize everything
     else to zero, so both are treated as caller bugs.
 
-    Convention for the degenerate all-zero tensor: ``q`` is all zeros
-    and ``scale`` is 1.0 — a usable (non-zero) scale whose dequantized
-    product is still exactly the input.
+    ``scale`` is always finite and non-zero and ``|q| <= qmax``: an
+    all-zero or all-subnormal tensor (``max|x| / qmax`` underflows to
+    0.0) quantizes to zeros with ``scale`` 1.0, per :func:`_quant_step`.
     """
     x = np.asarray(x)
     if x.size and not np.all(np.isfinite(x)):
@@ -94,10 +107,7 @@ def symmetric_quantize(x: np.ndarray, bits: int) -> Tuple[np.ndarray, float]:
             "symmetric_quantize: input contains non-finite values "
             "(NaN/inf); quantization scales would be meaningless")
     qmax = 2 ** (bits - 1) - 1
-    max_abs = float(np.abs(x).max()) if x.size else 0.0
-    if max_abs == 0.0:
-        return np.zeros(x.shape, dtype=np.int64), 1.0
-    scale = max_abs / qmax
+    scale = float(_quant_step(np.abs(x).max() if x.size else 0.0, qmax))
     q = np.clip(np.round(x / scale), -qmax, qmax).astype(np.int64)
     return q, scale
 
@@ -120,8 +130,11 @@ def quantize_batch(x: np.ndarray, bits: int
     per-sample rather than per-batch so that a sample's quantized bytes
     never depend on what else rode in its batch — the serving runtime's
     bit-identical-batching guarantee carries over to the integer path.
-    Same rounding (half-to-even) and all-zero convention (scale 1.0) as
-    :func:`symmetric_quantize`; non-finite inputs raise ``ValueError``.
+    Same rounding (half-to-even) as :func:`symmetric_quantize` and the
+    same :func:`_quant_step` convention: every scale is finite and
+    non-zero, a sample whose ``max|x| / qmax`` underflows (all-zero or
+    all-subnormal) gets scale 1.0 and zero levels, and ``|q| <= qmax``.
+    Non-finite inputs raise ``ValueError``.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -130,9 +143,8 @@ def quantize_batch(x: np.ndarray, bits: int
         raise ValueError(
             "quantize_batch: input contains non-finite values (NaN/inf)")
     qmax = 2 ** (bits - 1) - 1
-    max_abs = (np.abs(flat).max(axis=1) if flat.shape[1]
-               else np.zeros(n, dtype=np.float64))
-    scales = np.where(max_abs == 0.0, 1.0, max_abs / qmax)
+    scales = _quant_step(
+        np.abs(flat).max(axis=1) if flat.shape[1] else np.zeros(n), qmax)
     broadcast = scales.reshape((n,) + (1,) * (x.ndim - 1))
     q = np.clip(np.round(x / broadcast), -qmax, qmax)
     return q.astype(activation_dtype(bits)), scales
@@ -150,15 +162,18 @@ def _per_channel_quantize(w2d: np.ndarray, bits: int
     """Row-wise (per-output-channel) symmetric quantization.
 
     ``w2d`` is ``(C, K)``; returns integer levels with
-    :func:`activation_dtype` plus per-row scales ``(C,)`` (1.0 for
-    all-zero rows, matching :func:`symmetric_quantize`).
+    :func:`activation_dtype` plus per-row scales ``(C,)``.  Every scale
+    is finite and non-zero and ``|q| <= qmax``: a row whose ``max|w| /
+    qmax`` underflows (all-zero or all-subnormal) gets scale 1.0 and
+    zero levels, per :func:`_quant_step`.
     """
     if w2d.size and not np.all(np.isfinite(w2d)):
         raise ValueError(
             "per-channel quantization: weights contain non-finite values")
     qmax = 2 ** (bits - 1) - 1
-    max_abs = np.abs(w2d).max(axis=1) if w2d.size else np.zeros(w2d.shape[0])
-    scales = np.where(max_abs == 0.0, 1.0, max_abs / qmax)
+    scales = _quant_step(
+        np.abs(w2d).max(axis=1) if w2d.size else np.zeros(w2d.shape[0]),
+        qmax)
     q = np.clip(np.round(w2d / scales[:, None]), -qmax, qmax)
     return q.astype(activation_dtype(bits)), scales
 
@@ -253,7 +268,8 @@ class _QuantizedGemmOp:
 
     1. quantizes the float bias at ``in_scale * w_scale`` and adds it
        *inside* the integer accumulation (per-channel, per-sample),
-    2. records the accumulator peak (for the per-layer report),
+    2. records the pre-ReLU accumulator peak when a ``stats`` dict is
+       passed (the per-layer report; compiled programs pass none),
     3. applies the fused ReLU on the integer accumulator, and
     4. folds dequantization + fresh output quantization into one
        per-(sample, channel) multiplier, writing narrow integers.
@@ -313,21 +329,27 @@ class _QuantizedGemmOp:
                     out=qb)
             acc += qb.reshape((n, channels) + extra)
         flat = acc.reshape(n, channels, -1)
-        peak = float(np.abs(flat).max()) if flat.size else 0.0
         if stats is not None:
+            peak = int(np.abs(flat).max()) if flat.size else 0
             stats[name] = {
-                "acc_peak": int(peak),
-                "acc_bits": _bits_needed(int(peak)),
+                "acc_peak": peak,
+                "acc_bits": _bits_needed(peak),
                 "weight_scale_max": float(self.weight_scale.max()),
                 "weight_scale_min": float(self.weight_scale.min()),
             }
         if self.relu:
             np.maximum(acc, 0.0, out=acc)
-        # Per-sample output scale from the dequantized magnitudes.
-        mags = np.abs(flat).max(axis=2) if flat.size else np.zeros(
-            (n, channels))
+        # Per-sample output scale from the dequantized magnitudes.  Max
+        # and min are exact, so max(max, -min) equals max(|acc|) without
+        # an abs temporary; after the fused ReLU the max alone suffices.
+        if not flat.size:
+            mags = np.zeros((n, channels))
+        elif self.relu:
+            mags = flat.max(axis=2)
+        else:
+            mags = np.maximum(flat.max(axis=2), -flat.min(axis=2))
         ymax = (mags * dequant).max(axis=1) if channels else np.zeros(n)
-        y_scales = np.where(ymax == 0.0, 1.0, ymax / self.qmax)
+        y_scales = _quant_step(ymax, self.qmax)
         if stats is not None:
             stats[name]["out_scale_max"] = float(y_scales.max())
         multiplier = dequant / y_scales[:, None]

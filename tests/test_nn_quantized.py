@@ -12,11 +12,14 @@ plan, quantized serving (thread and process), and the experiments
 artifact's accuracy bar.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import NetworkBuilder, TensorShape
 from repro.graph import layer_spec as spec
 from repro.models import MODEL_FACTORIES
 from repro.nn import (
@@ -25,6 +28,7 @@ from repro.nn import (
     build_quantized_plan,
     compile_quantized_plan,
     dequantize_batch,
+    layers,
     quantize_batch,
     symmetric_quantize,
 )
@@ -34,6 +38,13 @@ from repro.nn.fixed_point import (
     emulate_fixed_point,
 )
 from repro.nn.functional import im2col
+from repro.nn.infer import FusedConv2D
+from repro.nn.quant import (
+    QuantizedConv2D,
+    QuantizedMaxPool,
+    _bits_needed,
+    _per_channel_quantize,
+)
 from repro.serve import Server, ServerConfig
 from tests.test_nn_infer import _randomize_running_stats
 from tests.test_serve import images, make_net
@@ -65,6 +76,35 @@ class TestSymmetricQuantize:
         qb, scales = quantize_batch(np.zeros((2, 5)), 16)
         assert not qb.any()
         np.testing.assert_array_equal(scales, [1.0, 1.0])
+
+    @pytest.mark.parametrize("bits", [2, 8, 16])
+    def test_subnormal_input_regression(self, bits):
+        """``max|x| / qmax`` used to underflow to a 0.0 scale on
+        all-subnormal input and divide by zero.  All three quantizers
+        now give a finite non-zero scale with ``|q| <= qmax``, without
+        a single numpy warning."""
+        x = np.array([5e-324, 0.0, -5e-324])
+        qmax = 2 ** (bits - 1) - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, scale = symmetric_quantize(x, bits)
+            qb, batch_scales = quantize_batch(np.stack([x, np.ones(3)]), bits)
+            qc, row_scales = _per_channel_quantize(
+                np.stack([x, np.ones(3)]), bits)
+        for levels, scales in ((q, np.array([scale])), (qb, batch_scales),
+                               (qc, row_scales)):
+            assert np.all(np.isfinite(scales)) and np.all(scales != 0.0)
+            assert np.abs(levels).max() <= qmax
+        # The subnormal sample/row dequantizes to within 5e-324 ...
+        assert np.abs(q * scale - x).max() <= 5e-324
+        assert np.abs(qb[0] * batch_scales[0] - x).max() <= 5e-324
+        assert np.abs(qc[0] * row_scales[0] - x).max() <= 5e-324
+        # ... and never disturbs its batch mate or sibling row.
+        np.testing.assert_array_equal(qb[1], np.full(3, qmax))
+        np.testing.assert_array_equal(qc[1], np.full(3, qmax))
+        if bits == 16:  # the quotient underflows: zeros at scale 1.0
+            assert scale == batch_scales[0] == row_scales[0] == 1.0
+            assert not q.any() and not qb[0].any() and not qc[0].any()
 
     def test_half_to_even_ties(self):
         # max|x| = 3 at bits=3 gives scale exactly 1, so the inputs ARE
@@ -198,6 +238,88 @@ class TestIntegerConvExactness:
         assert int(np.float64(expected)) != expected
 
 
+# -- the shared requantizing epilogue ----------------------------------------
+
+
+def _quantized_conv(relu: bool) -> QuantizedConv2D:
+    conv = layers.Conv2D(2, 3, (3, 3), padding=(1, 1),
+                         rng=np.random.default_rng(0), name="c")
+    op = QuantizedConv2D(FusedConv2D(conv, None, relu), 16)
+    op._bias = None  # accumulators below are exactly what the test says
+    return op
+
+
+def _negative_heavy_acc() -> np.ndarray:
+    acc = np.random.default_rng(1).integers(
+        -1000, 10, size=(2, 3, 4, 4)).astype(np.float64)
+    acc[0, 1, 2, 2] = -5000.0
+    acc[1, 2, 0, 3] = -7000.0
+    return acc
+
+
+class TestRequantizeEpilogue:
+    X_SCALES = np.array([0.5, 0.25])
+
+    def test_no_relu_takes_the_negative_peak(self):
+        """Without ReLU the output scale must come from ``-min`` when
+        the negative accumulators dominate, never from ``max`` alone."""
+        op = _quantized_conv(relu=False)
+        acc = _negative_heavy_acc()
+        dequant = self.X_SCALES[:, None] * op.weight_scale[None, :]
+        expected = (np.abs(acc).reshape(2, 3, -1).max(axis=2)
+                    * dequant).max(axis=1) / op.qmax
+        q = np.empty(acc.shape, dtype=np.int16)
+        np.testing.assert_array_equal(
+            op.requantize_into(acc.copy(), self.X_SCALES, q), expected)
+        assert q.min() == -op.qmax  # the negative peak lands on -qmax
+        assert q.max() < op.qmax // 2
+
+    def test_all_zero_accumulator_gets_unit_scale(self):
+        for relu in (False, True):
+            op = _quantized_conv(relu)
+            q = np.ones((2, 3, 4, 4), dtype=np.int16)
+            scales = op.requantize_into(np.zeros((2, 3, 4, 4)),
+                                        self.X_SCALES, q)
+            np.testing.assert_array_equal(scales, [1.0, 1.0])
+            assert not q.any()
+
+    def test_stats_keep_the_pre_relu_peak(self):
+        """``last_layer_stats`` reports the accumulator before the fused
+        ReLU; asking for stats never changes the output."""
+        op = _quantized_conv(relu=True)
+        acc = _negative_heavy_acc()
+        q_plain = np.empty(acc.shape, dtype=np.int16)
+        q_stats = np.empty(acc.shape, dtype=np.int16)
+        plain = op.requantize_into(acc.copy(), self.X_SCALES, q_plain)
+        stats = {}
+        with_stats = op.requantize_into(acc.copy(), self.X_SCALES, q_stats,
+                                        stats, "c")
+        assert stats["c"]["acc_peak"] == 7000
+        assert stats["c"]["acc_bits"] == _bits_needed(7000) == 14
+        np.testing.assert_array_equal(plain, with_stats)
+        np.testing.assert_array_equal(q_plain, q_stats)
+        assert q_plain.min() == 0  # the ReLU did clip the negatives
+
+    def test_plan_stats_match_the_accumulators(self):
+        net = make_net()
+        qplan = net.inference_plan().quantize(16)
+        xs = images(2)
+        qplan.run(xs)
+        q_in, s_in = quantize_batch(xs, 16)
+        trunk = qplan.steps[1]
+        assert trunk.kind == "qconv" and trunk.op.relu
+        stats = {}
+        trunk.op(q_in, s_in, qplan.arena, stats, trunk.name)
+        assert qplan.last_layer_stats[trunk.name] == stats[trunk.name]
+        # Recompute the pre-ReLU peak independently: integer conv of the
+        # levels plus the quantized bias, exactly as the epilogue adds it.
+        cols = im2col(q_in.astype(np.float64), (3, 3), (1, 1), (1, 1))
+        acc = np.einsum("ok,nkp->nop", trunk.op._wmat[0], cols)
+        dequant = s_in[:, None] * trunk.op.weight_scale[None, :]
+        acc += np.round(trunk.op._bias[None, :] / dequant)[:, :, None]
+        assert stats[trunk.name]["acc_peak"] == int(np.abs(acc).max())
+
+
 # -- zoo-wide plan agreement -------------------------------------------------
 
 
@@ -323,6 +445,61 @@ class TestCompiledQuantized:
             net.inference_plan().quantize(16), shape, batch_sizes=(2,))
         assert (q_compiled.static_arena_bytes(2)
                 < float_compiled.static_arena_bytes(2))
+
+    def test_zoo_kernel_strategies(self, zoo_network):
+        """Every depthwise conv runs ``dw-gemm`` and every max-pool the
+        ``taps`` loop; the counts match the network's own layer specs."""
+        net = zoo_network
+        qplan = net.inference_plan().quantize(16)
+        program = compile_quantized_plan(qplan, _input_shape(net)).program(1)
+        strategies = program.strategies
+        layer_specs = [node.spec for node in net.spec.nodes]
+        dw = [s.name for s in qplan.steps
+              if s.kind == "qconv" and s.op.depthwise]
+        pools = [s.name for s in qplan.steps
+                 if isinstance(s.op, QuantizedMaxPool)]
+        assert len(dw) == sum(isinstance(ls, spec.Conv2D)
+                              and ls.is_depthwise for ls in layer_specs)
+        assert len(pools) == sum(isinstance(ls, spec.Pool2D)
+                                 and ls.mode == "max" for ls in layer_specs)
+        assert all(strategies[name] == "dw-gemm" for name in dw)
+        assert all(strategies[name].startswith("taps") for name in pools)
+        if "MobileNet" in net.spec.name:
+            assert dw
+        for name in dw + pools:
+            assert f"[{strategies[name]}]" in program.describe()
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("pool_relu", [True, False])
+    def test_bit_identical_on_shapes_the_zoo_lacks(self, batch, pool_relu):
+        """Odd planes, a padded 3x3/s2 max-pool (with and without a fused
+        ReLU), a 2x2/s2 pool and a stride-2 padded depthwise conv."""
+        b = NetworkBuilder("odd-int16", TensorShape(3, 11, 13))
+        b.conv("c1", 6, kernel_size=3, padding=1, activation="identity")
+        b.pool("mp3", kernel_size=3, stride=2, padding=1)
+        b.depthwise_conv("dw", kernel_size=3, stride=2, padding=1,
+                         activation="identity")
+        b.conv("pw", 8, kernel_size=1, activation="identity")
+        b.pool("mp2", kernel_size=2, stride=2)
+        b.global_avg_pool("gap")
+        b.dense("fc", 5, activation="identity")
+        net = GraphNetwork(b.build(), rng=np.random.default_rng(6),
+                           batch_norm=True)
+        _randomize_running_stats(net)
+        plan = net.eval().inference_plan()
+        if pool_relu:  # no graph node fuses a ReLU into a pool
+            next(s for s in plan.steps
+                 if s.name == "mp3").op.activation = layers.ReLU()
+        qplan = plan.quantize(16)
+        compiled = compile_quantized_plan(qplan, (3, 11, 13),
+                                          batch_sizes=(batch,))
+        strategies = compiled.program(batch).strategies
+        assert strategies["mp3"] == ("taps+relu" if pool_relu else "taps")
+        assert strategies["mp2"] == "taps"
+        assert strategies["dw"] == "dw-gemm"
+        x = np.random.default_rng(batch).normal(size=(batch, 3, 11, 13))
+        np.testing.assert_array_equal(compiled.run(x), qplan.run(x))
+        assert compiled.fallbacks == 0
 
     def test_run_quantized_entry(self):
         net = make_net()
