@@ -1777,21 +1777,24 @@ class CompiledQuantizedPlan:
         replica.runs = 0
         return replica
 
-    def _fallback(self, x: np.ndarray) -> np.ndarray:
+    def _fallback(self, run: Callable[..., np.ndarray],
+                  *args: np.ndarray) -> np.ndarray:
+        """Answer through the interpreted plan's ``run``/``run_quantized``;
+        the one place a fallback is counted."""
         self.fallbacks += 1
         obs.count("infer.qcompiled.fallback")
         with self._fallback_lock:
-            return self._qplan.run(x)
+            return run(*args)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         self.runs += 1
         if x.ndim != 4 or tuple(x.shape[1:]) != self.input_shape:
-            return self._fallback(x)
+            return self._fallback(self._qplan.run, x)
         batch = int(x.shape[0])
         prog = self._programs.get(batch)
         if prog is None:
             if not self.autocompile:
-                return self._fallback(x)
+                return self._fallback(self._qplan.run, x)
             prog = self._ensure(batch)
         return prog.bound().execute(np.asarray(x, dtype=np.float64))
 
@@ -1799,16 +1802,14 @@ class CompiledQuantizedPlan:
                       scales: np.ndarray) -> np.ndarray:
         """Run on pre-quantized input (serving ring payloads)."""
         self.runs += 1
+        if tuple(q.shape[1:]) != self.input_shape:
+            return self._fallback(self._qplan.run_quantized, q, scales)
         batch = int(q.shape[0])
         prog = self._programs.get(batch)
-        if prog is None or tuple(q.shape[1:]) != self.input_shape:
-            if prog is None and self.autocompile and (
-                    tuple(q.shape[1:]) == self.input_shape):
-                prog = self._ensure(batch)
-            else:
-                self.fallbacks += 1
-                with self._fallback_lock:
-                    return self._qplan.run_quantized(q, scales)
+        if prog is None:
+            if not self.autocompile:
+                return self._fallback(self._qplan.run_quantized, q, scales)
+            prog = self._ensure(batch)
         return prog.bound().execute_quantized(q, scales)
 
     __call__ = run

@@ -59,12 +59,22 @@ def no_grad():
 
 
 class Parameter:
-    """A learnable tensor with its gradient accumulator."""
+    """A learnable tensor with its gradient accumulator.
+
+    ``grad`` comes from ``np.zeros`` rather than ``np.zeros_like``:
+    ``np.zeros`` takes already-zeroed pages that stay untouched until a
+    backward pass writes them, so a network that only runs inference
+    never pays for (or holds resident) a second copy of its weights.
+    """
 
     def __init__(self, value: np.ndarray, name: str = "") -> None:
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
         self.name = name
+        self.reset_grad()
+
+    def reset_grad(self) -> None:
+        """Replace ``grad`` with a fresh, untouched zero buffer."""
+        self.grad = np.zeros(self.value.shape)
 
     @property
     def shape(self):
@@ -97,10 +107,10 @@ class Module:
         return iter(self._parameters)
 
     def num_parameters(self) -> int:
-        return sum(p.value.size for p in self._parameters)
+        return sum(p.value.size for p in self.parameters())
 
     def zero_grad(self) -> None:
-        for param in self._parameters:
+        for param in self.parameters():
             param.zero_grad()
 
     def train(self, mode: bool = True) -> "Module":
@@ -136,7 +146,7 @@ class Module:
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Parameter values keyed by their registered names."""
         state: Dict[str, np.ndarray] = {}
-        for param in self._parameters:
+        for param in self.parameters():
             if param.name in state:
                 raise ValueError(f"duplicate parameter name {param.name!r}")
             state[param.name] = param.value.copy()
@@ -144,7 +154,7 @@ class Module:
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Restore parameter values saved by :meth:`state_dict`."""
-        for param in self._parameters:
+        for param in self.parameters():
             if param.name not in state:
                 raise KeyError(f"missing parameter {param.name!r}")
             value = np.asarray(state[param.name], dtype=np.float64)
@@ -154,7 +164,7 @@ class Module:
                     f"{value.shape} vs {param.value.shape}"
                 )
             param.value = value.copy()
-            param.grad = np.zeros_like(param.value)
+            param.reset_grad()
 
 
 class Identity(Module):

@@ -121,13 +121,6 @@ class GraphNetwork(Module):
         for bn in self._bn.values():
             yield from bn.parameters()
 
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.value.size for p in self.parameters())
-
     def train(self, mode: bool = True) -> "GraphNetwork":
         super().train(mode)
         for node in self._nodes:
@@ -137,24 +130,6 @@ class GraphNetwork(Module):
         for bn in self._bn.values():
             bn.train(mode)
         return self
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        state: Dict[str, np.ndarray] = {}
-        for param in self.parameters():
-            if param.name in state:
-                raise ValueError(f"duplicate parameter name {param.name!r}")
-            state[param.name] = param.value.copy()
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        for param in self.parameters():
-            if param.name not in state:
-                raise KeyError(f"missing parameter {param.name!r}")
-            value = np.asarray(state[param.name], dtype=np.float64)
-            if value.shape != param.value.shape:
-                raise ValueError(f"shape mismatch for {param.name!r}")
-            param.value = value.copy()
-            param.grad = np.zeros_like(param.value)
 
     # -- execution ------------------------------------------------------------
 

@@ -83,6 +83,25 @@ def _quant_step(peak, qmax: int) -> np.ndarray:
     return np.where(step == 0.0, 1.0, step)
 
 
+def _peaks(rows: np.ndarray) -> np.ndarray:
+    """Per-row ``max|x|`` of a 2-D array, without an ``abs`` temporary.
+
+    ``max(row.max(), -row.min())`` is exact, and NaN and +-inf survive
+    both reductions, so a caller checks finiteness on these ``C`` peaks
+    instead of on every element.  Rows of length 0 have peak 0.0.
+    """
+    if not rows.shape[1]:
+        return np.zeros(rows.shape[0])
+    return np.maximum(rows.max(axis=1), -rows.min(axis=1))
+
+
+def _levels(quotient: np.ndarray, qmax: int) -> np.ndarray:
+    """Round (half-to-even) and clip a fresh quotient buffer in place."""
+    np.round(quotient, out=quotient)
+    np.clip(quotient, -qmax, qmax, out=quotient)
+    return quotient
+
+
 def symmetric_quantize(x: np.ndarray, bits: int) -> Tuple[np.ndarray, float]:
     """The one symmetric-quantization primitive; returns ``(q, scale)``.
 
@@ -102,14 +121,14 @@ def symmetric_quantize(x: np.ndarray, bits: int) -> Tuple[np.ndarray, float]:
     0.0) quantizes to zeros with ``scale`` 1.0, per :func:`_quant_step`.
     """
     x = np.asarray(x)
-    if x.size and not np.all(np.isfinite(x)):
+    peak = _peaks(x.reshape(1, -1))[0]
+    if not np.isfinite(peak):
         raise ValueError(
             "symmetric_quantize: input contains non-finite values "
             "(NaN/inf); quantization scales would be meaningless")
     qmax = 2 ** (bits - 1) - 1
-    scale = float(_quant_step(np.abs(x).max() if x.size else 0.0, qmax))
-    q = np.clip(np.round(x / scale), -qmax, qmax).astype(np.int64)
-    return q, scale
+    scale = float(_quant_step(peak, qmax))
+    return _levels(x / scale, qmax).astype(np.int64), scale
 
 
 def activation_dtype(bits: int) -> np.dtype:
@@ -138,15 +157,14 @@ def quantize_batch(x: np.ndarray, bits: int
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    flat = x.reshape(n, -1)
-    if flat.size and not np.all(np.isfinite(flat)):
+    peaks = _peaks(x.reshape(n, -1))
+    if not np.all(np.isfinite(peaks)):
         raise ValueError(
             "quantize_batch: input contains non-finite values (NaN/inf)")
     qmax = 2 ** (bits - 1) - 1
-    scales = _quant_step(
-        np.abs(flat).max(axis=1) if flat.shape[1] else np.zeros(n), qmax)
+    scales = _quant_step(peaks, qmax)
     broadcast = scales.reshape((n,) + (1,) * (x.ndim - 1))
-    q = np.clip(np.round(x / broadcast), -qmax, qmax)
+    q = _levels(x / broadcast, qmax)
     return q.astype(activation_dtype(bits)), scales
 
 
@@ -161,21 +179,21 @@ def _per_channel_quantize(w2d: np.ndarray, bits: int
                           ) -> Tuple[np.ndarray, np.ndarray]:
     """Row-wise (per-output-channel) symmetric quantization.
 
-    ``w2d`` is ``(C, K)``; returns integer levels with
-    :func:`activation_dtype` plus per-row scales ``(C,)``.  Every scale
+    ``w2d`` is ``(C, K)``; returns a fresh float64 ``(C, K)`` buffer of
+    exact integer levels plus per-row scales ``(C,)``.  The levels are
+    the GEMM operand the integer ops keep; callers narrow them to
+    :func:`activation_dtype` for the deployment artifact.  Every scale
     is finite and non-zero and ``|q| <= qmax``: a row whose ``max|w| /
     qmax`` underflows (all-zero or all-subnormal) gets scale 1.0 and
     zero levels, per :func:`_quant_step`.
     """
-    if w2d.size and not np.all(np.isfinite(w2d)):
+    peaks = _peaks(w2d)
+    if not np.all(np.isfinite(peaks)):
         raise ValueError(
             "per-channel quantization: weights contain non-finite values")
     qmax = 2 ** (bits - 1) - 1
-    scales = _quant_step(
-        np.abs(w2d).max(axis=1) if w2d.size else np.zeros(w2d.shape[0]),
-        qmax)
-    q = np.clip(np.round(w2d / scales[:, None]), -qmax, qmax)
-    return q.astype(activation_dtype(bits)), scales
+    scales = _quant_step(peaks, qmax)
+    return _levels(w2d / scales[:, None], qmax), scales
 
 
 def _bits_needed(value: int) -> int:
@@ -369,9 +387,10 @@ class QuantizedConv2D(_QuantizedGemmOp):
     the fresh output scale into a single per-(sample, channel) float.
 
     ``qweight`` holds the narrow integer levels (the deployment
-    artifact); ``_wmat``/``_wdw`` are float64 copies of those *exact
-    integer values* so the GEMM runs through BLAS while every
-    accumulator stays exact (bound checked at construction).
+    artifact); ``_wmat`` is the quantizer's own float64 buffer of those
+    *exact integer values* (``_wdw`` a view of it) so the GEMM runs
+    through BLAS while every accumulator stays exact (bound checked at
+    construction).
     """
 
     def __init__(self, fused, bits: int = 16) -> None:
@@ -389,11 +408,11 @@ class QuantizedConv2D(_QuantizedGemmOp):
         self.fused = f"{fused.fused}+int{bits}"
         g, cout_g, k = fused._wmat.shape
         self._check_exact(k, f"QuantizedConv2D({fused.fused})")
-        q, scales = _per_channel_quantize(
+        levels, scales = _per_channel_quantize(
             fused._wmat.reshape(g * cout_g, k), bits)
-        self.qweight = np.ascontiguousarray(q.reshape(g, cout_g, k))
         self.weight_scale = scales
-        self._wmat = self.qweight.astype(np.float64)
+        self._wmat = levels.reshape(g, cout_g, k)
+        self.qweight = self._wmat.astype(self.dtype)
         kh, kw = self.kernel_size
         self._wdw = (self._wmat.reshape(g, cout_g, kh, kw)
                      if self.depthwise else None)
@@ -444,13 +463,15 @@ class QuantizedDense(_QuantizedGemmOp):
         self.fused = f"{fused.fused}+int{bits}"
         self._check_exact(self.in_features,
                           f"QuantizedDense({fused.fused})")
-        q, scales = _per_channel_quantize(fused._weight, bits)
-        self.qweight = q
+        levels, scales = _per_channel_quantize(fused._weight, bits)
+        self.qweight = levels.astype(self.dtype)
         self.weight_scale = scales
-        # Integer matmul in float64 is exact, so unlike the float path
-        # no row-at-a-time loop is needed for batch bit-identity: every
-        # summation order yields the same integer.
-        self._wt = np.ascontiguousarray(q.T.astype(np.float64))
+        # A transposed view, not a copy: BLAS takes the transposed
+        # operand directly.  Integer matmul in float64 is exact, so
+        # unlike the float path no row-at-a-time loop is needed for
+        # batch bit-identity: every summation order yields the same
+        # integer.
+        self._wt = levels.T
         self._bias = None if fused._bias is None else fused._bias.copy()
 
     def __call__(self, q_x: np.ndarray, x_scales: np.ndarray,

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.graph import NetworkBuilder, TensorShape
 from repro.graph import layer_spec as spec
 from repro.models import MODEL_FACTORIES
@@ -29,6 +30,7 @@ from repro.nn import (
     compile_quantized_plan,
     dequantize_batch,
     layers,
+    quant,
     quantize_batch,
     symmetric_quantize,
 )
@@ -38,9 +40,11 @@ from repro.nn.fixed_point import (
     emulate_fixed_point,
 )
 from repro.nn.functional import im2col
-from repro.nn.infer import FusedConv2D
+from repro.nn.infer import BufferArena, FusedConv2D, FusedDense
+from repro.nn.module import Parameter
 from repro.nn.quant import (
     QuantizedConv2D,
+    QuantizedDense,
     QuantizedMaxPool,
     _bits_needed,
     _per_channel_quantize,
@@ -68,6 +72,52 @@ class TestSymmetricQuantize:
             symmetric_quantize(x, 16)
         with pytest.raises(ValueError, match="non-finite"):
             quantize_batch(x.reshape(1, 3), 16)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_in_one_row_raises(self, bad, row):
+        """Finiteness is read off the row peaks, so a single bad value in
+        one row (sample) of otherwise finite data must still raise."""
+        x = np.random.default_rng(3).normal(size=(3, 4))
+        x[row, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            symmetric_quantize(x, 16)
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_batch(x.reshape(3, 2, 2), 16)
+        with pytest.raises(ValueError, match="non-finite"):
+            _per_channel_quantize(x, 16)
+
+    @pytest.mark.parametrize("bits", [3, 8, 16])
+    def test_match_full_tensor_reference(self, bits):
+        """The peak-based, in-place quantizers give exactly what the
+        full-tensor ``abs``/``round``/``clip`` formulation gives."""
+        qmax = 2 ** (bits - 1) - 1
+        rows = np.random.default_rng(bits).normal(size=(6, 9)) * 50.0
+        rows[1] = 0.0
+        rows[2] = [5e-324, -5e-324, 0.0] * 3
+        rows[3] = -np.abs(rows[3])  # the peak is a negative value
+        rows[4] = np.arange(9) - 4.5  # half-way ties at bits=3
+        rows[5, 0] = -1e300
+
+        def reference(x, peak):
+            step = np.asarray(peak, dtype=np.float64) / qmax
+            step = np.where(step == 0.0, 1.0, step)
+            shape = step.shape + (1,) * (x.ndim - step.ndim)
+            return np.clip(np.round(x / step.reshape(shape)), -qmax, qmax), step
+
+        levels, scales = _per_channel_quantize(rows, bits)
+        want, want_scales = reference(rows, np.abs(rows).max(axis=1))
+        np.testing.assert_array_equal(levels, want)
+        np.testing.assert_array_equal(scales, want_scales)
+        qb, batch_scales = quantize_batch(rows.reshape(6, 3, 3), bits)
+        assert qb.dtype == activation_dtype(bits)
+        np.testing.assert_array_equal(qb.reshape(6, 9), want)
+        np.testing.assert_array_equal(batch_scales, want_scales)
+        for x in (rows, rows[:5].astype(np.float32), rows[2]):
+            q, scale = symmetric_quantize(x, bits)
+            want_q, want_scale = reference(x, np.abs(x).max())
+            assert q.dtype == np.int64 and scale == want_scale
+            np.testing.assert_array_equal(q, want_q.astype(np.int64))
 
     def test_all_zero_convention(self):
         q, scale = symmetric_quantize(np.zeros(5), 16)
@@ -421,6 +471,79 @@ class TestQuantizedPlanSmall:
         np.testing.assert_array_equal(qplan.run(xs), clone.run(xs))
 
 
+# -- weight preparation -------------------------------------------------------
+
+
+class TestWeightPreparation:
+    def test_ops_hold_the_quantizer_levels_without_copies(self, monkeypatch):
+        """Each weight is kept once as float64 levels: the conv GEMM
+        operand is the quantizer's buffer, the dense operand a
+        transposed view of it, and ``qweight`` narrows the same values."""
+        produced = []
+        real = quant._per_channel_quantize
+
+        def spy(w2d, bits):
+            levels, scales = real(w2d, bits)
+            produced.append(levels)
+            return levels, scales
+
+        monkeypatch.setattr(quant, "_per_channel_quantize", spy)
+        qplan = make_net().inference_plan().quantize(16)
+        ops = [s.op for s in qplan.steps
+               if isinstance(s.op, (QuantizedConv2D, QuantizedDense))]
+        assert len(ops) == len(produced) == 4
+        assert sum(isinstance(op, QuantizedDense) for op in ops) == 1
+        for op in ops:
+            dense = isinstance(op, QuantizedDense)
+            operand = op._wt if dense else op._wmat
+            levels = [lv for lv in produced if np.shares_memory(operand, lv)]
+            assert len(levels) == 1
+            assert operand.dtype == np.float64
+            assert op.qweight.dtype == np.int16
+            assert not np.shares_memory(op.qweight, levels[0])
+            np.testing.assert_array_equal(
+                op.qweight, levels[0].reshape(op.qweight.shape))
+            np.testing.assert_array_equal(
+                op.qweight, operand.T if dense else operand)
+
+    def test_dense_batch_matches_single_rows(self):
+        """The transposed-view operand reaches BLAS as GEMM at batch 3
+        and as GEMV-shaped work at batch 1; integer sums in float64 are
+        exact, so both give the same bits (and the int64 answer)."""
+        rng = np.random.default_rng(11)
+        dense = layers.Dense(300, 7, rng=rng)
+        op = QuantizedDense(FusedDense(dense, relu=False), bits=16)
+        assert not op._wt.flags.c_contiguous
+        q_x = rng.integers(-32767, 32768, size=(3, 300)).astype(np.int16)
+        scales = rng.uniform(0.01, 1.0, size=3)
+        acc = np.matmul(q_x, op._wt)
+        np.testing.assert_array_equal(
+            acc, q_x.astype(np.int64) @ op.qweight.T.astype(np.int64))
+        batched, batched_scales = op(q_x, scales, BufferArena())
+        for i in range(3):
+            single, single_scale = op(q_x[i:i + 1], scales[i:i + 1],
+                                      BufferArena())
+            np.testing.assert_array_equal(batched[i], single[0])
+            assert batched_scales[i] == single_scale[0]
+
+    def test_fresh_grad_is_zero_and_accumulates(self):
+        param = Parameter(np.ones((3, 4)))
+        assert param.grad.dtype == np.float64
+        assert param.grad.shape == (3, 4)
+        assert not param.grad.any()
+        assert not np.shares_memory(param.grad, param.value)
+        dense = layers.Dense(4, 3, rng=np.random.default_rng(2))
+        x = np.random.default_rng(3).normal(size=(5, 4))
+        grad_out = np.random.default_rng(4).normal(size=(5, 3))
+        for step in (1, 2):
+            dense.forward(x)
+            dense.backward(grad_out)
+            np.testing.assert_allclose(dense.weight.grad,
+                                       step * grad_out.T @ x)
+        dense.load_state_dict(dense.state_dict())
+        assert not dense.weight.grad.any() and not dense.bias.grad.any()
+
+
 # -- AOT-compiled quantized programs -----------------------------------------
 
 
@@ -523,6 +646,18 @@ class TestCompiledQuantized:
                                       autocompile=True)
         auto.run(images(5))
         assert 5 in auto.batch_sizes
+
+    @pytest.mark.parametrize("entry", ["run", "run_quantized"])
+    def test_each_entry_point_counts_one_fallback(self, entry):
+        qplan = make_net().inference_plan().quantize(16)
+        compiled = compile_quantized_plan(qplan, (3, 8, 8), batch_sizes=(2,))
+        xs = images(5)
+        args = (xs,) if entry == "run" else quantize_batch(xs, 16)
+        with obs.tracing() as tracer:
+            got = getattr(compiled, entry)(*args)
+        np.testing.assert_array_equal(got, getattr(qplan, entry)(*args))
+        assert compiled.fallbacks == 1
+        assert tracer.counters["infer.qcompiled.fallback"] == 1
 
     def test_int8_compiled(self):
         net = make_net()
