@@ -148,24 +148,19 @@ def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
     weights = attach_segment(setup.weights_name)
     arrays = map_arrays(weights, setup.manifest)
     plan = plan_from_template(setup.template, arrays)
-    executor = plan
-    if setup.compiled:
-        # Compile over the zero-copy shm weight views: the parent paid
-        # for the weights once, each worker only adds its static arena.
-        from repro.nn.compile import CompiledPlan
-        executor = CompiledPlan(plan, setup.input_shape,
-                                batch_sizes=(1, setup.max_batch),
-                                autocompile=True)
+    # Quantization is deterministic, so re-deriving the integer plan
+    # from the shared float weights gives every worker (and the
+    # dispatching parent) the same levels — no second weight segment
+    # needed; compiling over the zero-copy weight views adds only this
+    # worker's static arena.
+    from repro.serve.server import _worker_executor
+    executor = _worker_executor(plan, setup.input_shape, setup.max_batch,
+                                setup.compiled, setup.quantized_bits)
     qdtype = None
     if setup.quantized_bits is not None:
-        # Quantization is deterministic, so re-deriving the integer
-        # plan from the shared float weights gives every worker (and
-        # the dispatching parent) the same levels — no second weight
-        # segment needed.
         from repro.nn.quant import activation_dtype
-        executor = plan.quantize(setup.quantized_bits)
         qdtype = activation_dtype(setup.quantized_bits)
-    run_arena = getattr(executor, "arena", plan.arena)
+    run_arena = (executor.plan if setup.compiled else executor).arena
     if setup.warmup:
         # One dummy batch so the first real request doesn't pay
         # arena/bind cold-start. Failures surface on real traffic.

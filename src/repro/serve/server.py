@@ -104,25 +104,23 @@ class ServerConfig:
     where available; under ``spawn``, ``service_time`` must be
     picklable).
 
-    ``compiled`` runs each worker's plan through
-    :func:`repro.nn.compile.compile_plan` — batch sizes 1 and
-    ``max_batch_size`` compile eagerly, other coalesced sizes compile
-    on first use, and shape/dtype mismatches fall back to the
-    interpreted plan (requires ``input_shape``; ``Server.for_network``
-    provides it).  ``warmup`` (default on when the input shape is
-    known) runs one dummy batch through every worker at start so the
-    first real request pays no arena/bind cold-start.
-
     ``quantized_bits`` (e.g. ``16``) serves through a
     :class:`~repro.nn.quant.QuantizedInferencePlan`: thread workers
     clone one shared quantized lowering of the plan; process workers
     re-derive it from the shared float weights (quantization is
     deterministic, so every worker runs the identical integer plan)
     and the request rings carry int16/int8 payloads plus per-sample
-    scales instead of float64.  Combining ``compiled`` with
-    ``quantized_bits`` is not supported — the integer path has its own
-    AOT compiler (:func:`repro.nn.compile.compile_quantized_plan`)
-    that the serving runtime does not drive yet.
+    scales instead of float64.
+
+    ``compiled`` runs each worker's plan — float64, or the integer
+    plan when ``quantized_bits`` is set — through the AOT compiler
+    (:mod:`repro.nn.compile`): batch sizes 1 and ``max_batch_size``
+    compile eagerly, other coalesced sizes compile on first use, and
+    shape/dtype mismatches fall back to the interpreted plan (requires
+    ``input_shape``; ``Server.for_network`` provides it).  ``warmup``
+    (default on when the input shape is known) runs one dummy batch
+    through every worker before :meth:`Server.start` returns, so the
+    first real request pays no arena/bind cold-start.
     """
 
     workers: int = 2
@@ -156,15 +154,9 @@ class ServerConfig:
                 f"got {self.worker_mode!r}")
         if self.arena_trim_bytes is not None and self.arena_trim_bytes < 0:
             raise ValueError("arena_trim_bytes must be >= 0")
-        if self.quantized_bits is not None:
-            if not 2 <= self.quantized_bits <= 16:
-                raise ValueError("quantized_bits must be in [2, 16]")
-            if self.compiled:
-                raise ValueError(
-                    "compiled=True cannot be combined with "
-                    "quantized_bits: the integer path has its own AOT "
-                    "compiler (repro.nn.compile.compile_quantized_plan) "
-                    "that serving does not drive yet")
+        if (self.quantized_bits is not None
+                and not 2 <= self.quantized_bits <= 16):
+            raise ValueError("quantized_bits must be in [2, 16]")
 
 
 @dataclass(frozen=True)
@@ -235,14 +227,37 @@ class _WorkItem:
         return self.deadline_at is not None and now > self.deadline_at
 
 
+def _worker_executor(plan: InferencePlan, input_shape, max_batch: int,
+                    compiled: bool, quantized_bits: Optional[int]):
+    """What a worker runs batches through, built in one sequence.
+
+    The plan is quantized when ``quantized_bits`` is set, then compiled
+    when ``compiled`` is (batch sizes 1 and ``max_batch`` eagerly,
+    other coalesced sizes on first use).  Thread workers clone the
+    result; process workers build their own from the shared weights.
+    """
+    executor = plan
+    if quantized_bits is not None:
+        executor = plan.quantize(quantized_bits)
+    if compiled:
+        from repro.nn.compile import CompiledPlan, CompiledQuantizedPlan
+
+        front = (CompiledPlan if quantized_bits is None
+                 else CompiledQuantizedPlan)
+        executor = front(executor, input_shape,
+                         batch_sizes=(1, max_batch), autocompile=True)
+    return executor
+
+
 _SENTINEL = None  # queue poison pill; one per consumer at shutdown
 
 
 class _Worker:
     """One thread-pool member: a plan replica plus unlocked telemetry.
 
-    ``exec`` is what batches actually run through — the plan itself,
-    or its :class:`~repro.nn.compile.CompiledPlan` wrapper when
+    ``exec`` is what batches actually run through — the plan (or its
+    integer lowering) itself, or its :class:`~repro.nn.compile.CompiledPlan`
+    / :class:`~repro.nn.compile.CompiledQuantizedPlan` wrapper when
     ``ServerConfig.compiled`` is set (``plan`` then doubles as the
     wrapper's interpreted fallback).  The lock only serializes the
     worker against ``Server.stats()`` snapshots — the hot path never
@@ -255,6 +270,7 @@ class _Worker:
         self.plan = plan
         self.exec = executor if executor is not None else plan
         self.warmed = False
+        self.ready = threading.Event()  # set once warm-up has finished
         self.thread: Optional[threading.Thread] = None
         self.lock = threading.Lock()
         self.completed = 0
@@ -310,28 +326,19 @@ class Server:
                     "input shape; pass input_shape= (Server.for_network "
                     "does) when worker_mode='process'")
             self._workers: List[_Worker] = []
-        elif self.config.compiled:
-            from repro.nn.compile import CompiledPlan
-
-            # Compile once against the server's plan; worker clones
-            # share the immutable programs and bind per-thread arenas.
-            base = CompiledPlan(
-                plan, self.input_shape,
-                batch_sizes=(1, self.config.max_batch_size),
-                autocompile=True)
+        else:
+            # Clones share the (integer) weights and the immutable
+            # compiled programs, adding only private arenas.
+            executor = _worker_executor(plan, self.input_shape,
+                                        self.config.max_batch_size,
+                                        self.config.compiled,
+                                        self.config.quantized_bits)
             self._workers = []
             for i in range(self.config.workers):
-                executor = base.clone()
-                self._workers.append(_Worker(i, executor.plan, executor))
-        elif self.config.quantized_bits is not None:
-            # One shared quantized lowering; clones share the integer
-            # weights and add only a private arena per worker.
-            base_q = plan.quantize(self.config.quantized_bits)
-            self._workers = [_Worker(i, base_q.clone())
-                             for i in range(self.config.workers)]
-        else:
-            self._workers = [_Worker(i, plan.clone())
-                             for i in range(self.config.workers)]
+                replica = executor.clone()
+                self._workers.append(_Worker(
+                    i, replica.plan if self.config.compiled else replica,
+                    replica))
         # Guards the lifecycle flags and the submit-side counters; also
         # serializes submits against shutdown so no request can slip
         # into the queue behind the poison pills.
@@ -392,6 +399,11 @@ class Server:
                     name=f"{self.name}-worker-{worker.index}", daemon=True)
                 worker.thread = thread
                 thread.start()
+            # Warm-up runs on each worker's own thread (it binds that
+            # thread's arena); wait for it so no queued request's
+            # deadline runs out while a worker is still warming up.
+            for worker in self._workers:
+                worker.ready.wait()
         return self
 
     def _start_process_pool(self) -> None:
@@ -675,7 +687,10 @@ class Server:
         worker.warmed = True
 
     def _worker_loop(self, worker: _Worker) -> None:
-        self._warmup_worker(worker)
+        try:
+            self._warmup_worker(worker)
+        finally:
+            worker.ready.set()
         while True:
             item = self._queue.get()
             if item is _SENTINEL:

@@ -3,20 +3,28 @@
 Covers the static first-fit allocator, zoo-wide equivalence of the
 compiled executor against the interpreted plan (≤1e-12) and the looped
 ``forward_reference`` oracle at batch 1 and 4, kernel-strategy
-selection (pointwise / dw-gemm / write-through joins), branch-parallel
-execution, batch-specialization fallback + autocompile, per-thread
-static arenas, and the no-arena-traffic hot-path guarantee.
+selection (pointwise / dw-gemm / write-through joins),
+batch-specialization fallback + autocompile, per-thread static arenas,
+the no-arena-traffic hot-path guarantee, and a differential test of
+both precisions on random graphs the zoo lacks.
 """
 
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.graph import NetworkBuilder, TensorShape
 from repro.models import MODEL_FACTORIES
-from repro.nn import CompiledPlan, GraphNetwork, compile_plan
+from repro.nn import (
+    CompiledPlan,
+    GraphNetwork,
+    compile_plan,
+    compile_quantized_plan,
+)
 from repro.nn.compile import _StaticAllocator, ALIGN
 from tests.test_nn_infer import (
     _randomize_running_stats,
@@ -245,30 +253,6 @@ class TestHotPathIsStatic:
         np.testing.assert_array_equal(x, snapshot)
 
 
-class TestParallelBranches:
-    def test_fire_modules_detected_and_bit_identical(self):
-        net = GraphNetwork(MODEL_FACTORIES["SqueezeNet v1.1"](),
-                           rng=np.random.default_rng(0), batch_norm=True)
-        _randomize_running_stats(net)
-        net.eval()
-        plan = net.inference_plan()
-        serial = compile_plan(plan, _input_shape(net))
-        fanout = compile_plan(plan, _input_shape(net), parallel=2)
-        assert fanout.program(1).parallel_groups >= 8  # the fire modules
-        x = np.random.default_rng(3).normal(size=(1,) + _input_shape(net))
-        np.testing.assert_array_equal(fanout.run(x), serial.run(x))
-
-    def test_branchy_toy_graph_parallel_equivalence(self):
-        net = _branchy_net()
-        plan = net.inference_plan()
-        serial = compile_plan(plan, _input_shape(net))
-        fanout = compile_plan(plan, _input_shape(net), parallel=True)
-        assert fanout.program(1).parallel_groups >= 1
-        x = RNG.normal(size=(2,) + _input_shape(net))
-        x1 = x[:1]
-        np.testing.assert_array_equal(fanout.run(x1), serial.run(x1))
-
-
 class TestThreadSafety:
     THREADS = 8
     ROUNDS = 10
@@ -339,3 +323,106 @@ class TestStatsAndObs:
         assert "infer.compiled_step" in names
         assert tracer.counters["infer.compiled.bind"] >= 1
         assert tracer.gauges["infer.compiled.arena_bytes"] > 0
+
+
+# -- differential test on random graphs ----------------------------------------
+
+
+@st.composite
+def small_graphs(draw):
+    """A random small graph, its input shape and a batch size.
+
+    Conv, depthwise and pointwise layers with random stride and
+    padding, padded and unpadded max-pools, fire-style concats and
+    residual adds over odd planes, plus one float module fallback
+    (an upsample mid-graph or a softmax head) for both lowerings.
+    """
+    shape = (draw(st.integers(1, 3)), draw(st.integers(5, 11)),
+             draw(st.integers(5, 11)))
+    b = NetworkBuilder("random", TensorShape(*shape))
+    b.conv("stem", draw(st.integers(2, 6)), kernel_size=3,
+           padding=draw(st.integers(0, 1)))
+    blocks = draw(st.integers(1, 4))
+    fallback = draw(st.sampled_from(["upsample", "softmax"]))
+    upsample_at = draw(st.integers(0, blocks - 1))
+    for k in range(blocks):
+        if fallback == "upsample" and k == upsample_at:
+            b.upsample(f"up{k}")
+        here = b.shape_of(b.cursor)
+        plane = min(here.height, here.width)
+        # Small planes keep their size (padding 1, stride 1), so every
+        # kernel below always fits.
+        stride = draw(st.integers(1, 2)) if plane >= 6 else 1
+        pad = draw(st.integers(0, 1)) if plane >= 5 else 1
+        act = draw(st.sampled_from(["relu", "identity"]))
+        kind = draw(st.sampled_from(["conv", "depthwise", "pointwise",
+                                     "maxpool", "fire", "residual"]))
+        name = f"{kind}{k}"
+        if kind == "conv":
+            kernel = draw(st.sampled_from([1, 3]))
+            b.conv(name, draw(st.integers(2, 6)), kernel_size=kernel,
+                   stride=stride, padding=pad if kernel == 3 else 0,
+                   activation=act)
+        elif kind == "depthwise":
+            b.depthwise_conv(name, kernel_size=3, stride=stride,
+                             padding=pad, activation=act)
+        elif kind == "pointwise":
+            b.conv(name, draw(st.integers(2, 6)), kernel_size=1,
+                   activation=act)
+        elif kind == "maxpool":
+            kernel = draw(st.sampled_from([2, 3]))
+            b.pool(name, kernel_size=kernel, stride=stride, padding=pad)
+        elif kind == "fire":
+            squeeze = b.conv(f"{name}_sq", draw(st.integers(1, 4)),
+                             kernel_size=1)
+            width = draw(st.integers(1, 4))
+            e1 = b.conv(f"{name}_e1", width, kernel_size=1, after=squeeze)
+            e3 = b.conv(f"{name}_e3", width, kernel_size=3, padding=1,
+                        after=squeeze)
+            b.concat(name, [e1, e3])
+        else:
+            skip = b.cursor
+            b.conv(f"{name}_a", here.channels, kernel_size=3, padding=1)
+            b.conv(f"{name}_b", here.channels, kernel_size=3, padding=1,
+                   activation=act)
+            b.add(name, [b.cursor, skip])
+    if draw(st.booleans()):
+        b.global_avg_pool("gap")
+    else:
+        b.flatten("flat")
+    b.dense("fc", draw(st.integers(2, 5)), activation="identity")
+    if fallback == "softmax":
+        b.softmax("prob")
+    return b.build(), shape, draw(st.integers(1, 3))
+
+
+def _assert_live_buffers_disjoint(program):
+    """Buffers whose step intervals intersect never share a byte."""
+    bufs = [b for b in program._bufs if b.nbytes]
+    for i, a in enumerate(bufs):
+        for b in bufs[i + 1:]:
+            if a.alloc_at <= b.free_at and b.alloc_at <= a.free_at:
+                assert (a.offset + a.nbytes <= b.offset
+                        or b.offset + b.nbytes <= a.offset), (a, b)
+
+
+class TestRandomGraphs:
+    @settings(max_examples=25, deadline=None)
+    @given(small_graphs(), st.integers(0, 2**31 - 1))
+    def test_both_precisions_match_their_interpreters(self, graph, seed):
+        spec, shape, batch = graph
+        net = GraphNetwork(spec, rng=np.random.default_rng(seed),
+                           batch_norm=True)
+        _randomize_running_stats(net, seed)
+        plan = net.eval().inference_plan()
+        qplan = plan.quantize(16)
+        x = np.random.default_rng(seed).normal(size=(batch,) + shape)
+        compiled = compile_plan(plan, shape, batch_sizes=(batch,))
+        q_compiled = compile_quantized_plan(qplan, shape,
+                                            batch_sizes=(batch,))
+        out = compiled.run(x)
+        assert np.max(np.abs(out - plan.run(x))) <= 1e-12
+        np.testing.assert_array_equal(q_compiled.run(x), qplan.run(x))
+        assert compiled.fallbacks == q_compiled.fallbacks == 0
+        for program in (compiled.program(batch), q_compiled.program(batch)):
+            _assert_live_buffers_disjoint(program)

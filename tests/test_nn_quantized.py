@@ -24,6 +24,7 @@ from repro.graph import NetworkBuilder, TensorShape
 from repro.graph import layer_spec as spec
 from repro.models import MODEL_FACTORIES
 from repro.nn import (
+    CompiledQuantizedPlan,
     GraphNetwork,
     activation_dtype,
     build_quantized_plan,
@@ -52,6 +53,7 @@ from repro.nn.quant import (
 from repro.serve import Server, ServerConfig
 from tests.test_nn_infer import _randomize_running_stats
 from tests.test_serve import images, make_net
+from tests.test_serve_proc import shm_segments
 
 RNG = np.random.default_rng(9)
 
@@ -721,13 +723,35 @@ class TestQuantizedServing:
             np.testing.assert_array_equal(result,
                                           reference.run(xs[i:i + 1])[0])
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_compiled_quantized_serving_bit_identical(self, mode):
+        """``compiled`` and ``quantized_bits`` compose: workers run the
+        compiled int16 program, answering exactly as the interpreted
+        integer plan, with no fallback and no leaked segment."""
+        net = make_net()
+        reference = net.inference_plan().quantize(16)
+        xs = images(10)
+        before = shm_segments()
+        config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=2.0,
+                              compiled=True, quantized_bits=16,
+                              worker_mode=mode)
+        with Server.for_network(net, config) as server:
+            results = [f.result(timeout=60)
+                       for f in [server.submit(x) for x in xs]]
+            for worker in server._workers:  # thread mode only
+                assert isinstance(worker.exec, CompiledQuantizedPlan)
+                assert {1, 4} <= set(worker.exec.batch_sizes)
+                assert worker.exec.fallbacks == 0
+        for i, result in enumerate(results):
+            np.testing.assert_array_equal(result,
+                                          reference.run(xs[i:i + 1])[0])
+        assert shm_segments() == before
+
     def test_config_rejects_bad_combinations(self):
         with pytest.raises(ValueError):
             ServerConfig(quantized_bits=1)
         with pytest.raises(ValueError):
             ServerConfig(quantized_bits=17)
-        with pytest.raises(ValueError):
-            ServerConfig(compiled=True, quantized_bits=16)
 
 
 # -- the experiments artifact ------------------------------------------------

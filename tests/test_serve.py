@@ -212,15 +212,6 @@ class TestDeadlines:
         with pytest.raises(ValueError):
             ServerConfig(arena_trim_bytes=-1)
 
-    def test_compiled_plus_quantized_rejected_at_construction(self):
-        # The conflict must surface when the config is built, not
-        # later when a worker pool tries to lower the plan.
-        with pytest.raises(ValueError, match="compiled"):
-            ServerConfig(compiled=True, quantized_bits=16)
-        # Each alone is fine.
-        ServerConfig(compiled=True)
-        ServerConfig(quantized_bits=16)
-
     def test_thread_mode_arena_trim_caps_held_bytes(self):
         net = make_net()
         cap = 64 * 1024
@@ -572,15 +563,6 @@ class TestCLI:
 class TestCompiledServing:
     """ServerConfig(compiled=True): workers run the AOT executor."""
 
-    def _wait_warmed(self, server, timeout=5.0):
-        import time
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if all(w.warmed for w in server._workers):
-                return
-            time.sleep(0.005)
-        raise AssertionError("workers never warmed")
-
     def test_compiled_responses_bit_identical_to_interpreted(self):
         net = make_net()
         reference_plan = net.inference_plan()
@@ -598,7 +580,6 @@ class TestCompiledServing:
         net = make_net()
         config = ServerConfig(workers=2, max_batch_size=4, compiled=True)
         with Server.for_network(net, config) as server:
-            self._wait_warmed(server)
             # The warm-up dummy batch already bound every worker's
             # batch-1 program (programs are shared across clones, so
             # replicas accumulate on the one program object).
@@ -611,7 +592,6 @@ class TestCompiledServing:
         net = make_net()
         config = ServerConfig(workers=2, max_batch_size=4)
         with Server.for_network(net, config) as server:
-            self._wait_warmed(server)
             # Warm-up pre-faulted the arena: the first real request
             # recycles the dummy batch's buffers instead of allocating.
             server.infer(images(1)[0], timeout=30)
@@ -640,7 +620,6 @@ class TestCompiledServing:
                               compiled=True)
         xs = images(3)
         with Server.for_network(net, config) as server:
-            self._wait_warmed(server)
             futures = [server.submit(x) for x in xs]
             for f in futures:
                 f.result(timeout=30)
@@ -661,7 +640,6 @@ class TestCompiledServing:
             config = ServerConfig(workers=1, max_batch_size=2,
                                   max_wait_ms=0.5, compiled=True)
             with Server.for_network(net, config) as server:
-                self._wait_warmed(server)
                 began = time.perf_counter()
                 server.infer(x, timeout=30)
                 firsts.append(time.perf_counter() - began)
